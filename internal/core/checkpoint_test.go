@@ -161,10 +161,12 @@ func TestSOFetchRestoresPOM(t *testing.T) {
 	cctx := &captureCtx{}
 	ts := cl.Submit(cctx, putCmd("k", "v"))
 	cmd := types.Command{Client: cl.cfg.ID, Timestamp: ts, Op: types.OpPut, Key: "k", Value: []byte("v")}
-	other := types.Command{Client: 99, Timestamp: 1, Op: types.OpPut, Key: "x", Value: []byte("y")}
+	other := types.Command{Client: cl.cfg.ID, Timestamp: ts + 1, Op: types.OpPut, Key: "x", Value: []byte("y")}
 
 	// An equivocating leader (R0) signs two different batches ordering the
-	// command at two instances.
+	// command at two instances. The embedded requests carry valid client
+	// signatures: the fetched SPECORDER is later served as an ordering
+	// frame, which checks them.
 	mkSO := func(slot uint64) *SpecOrder {
 		digests := []types.Digest{cmd.Digest(), other.Digest()}
 		so := &SpecOrder{
@@ -176,6 +178,8 @@ func TestSOFetchRestoresPOM(t *testing.T) {
 			Req:       Request{Cmd: cmd, Orig: noOrig},
 			Batch:     []Request{{Cmd: other, Orig: noOrig}},
 		}
+		so.Req.Sig = signBody(cl.cfg.Auth, &so.Req)
+		so.Batch[0].Sig = signBody(cl.cfg.Auth, &so.Batch[0])
 		so.Sig = signBody(leaderAuth, so)
 		return so
 	}

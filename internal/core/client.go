@@ -419,12 +419,14 @@ func (c *Client) handleFetchedSO(ctx proc.Context, so *SpecOrder) {
 	if so.CmdDigest != BatchDigest(so.CmdDigests()) || !so.OrdersCommand(p.cmd) {
 		return
 	}
+	// Only the owner signature is checked, so the frame stays unmarked (the
+	// mark also vouches for client signatures); tryPOMFromEvidence
+	// re-verifies it on the rare path that builds a POM.
 	if !so.SigVerified() {
 		c.cfg.Costs.ChargeVerify(ctx, 1)
 		if verifyBody(c.cfg.Auth, types.ReplicaNode(so.Owner.OwnerOf(c.n)), so, so.Sig) != nil {
 			return
 		}
-		so.MarkSigVerified()
 	}
 	if p.fetched == nil {
 		p.fetched = make(map[replyKey]*SpecOrder, 2)

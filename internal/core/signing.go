@@ -68,12 +68,14 @@ func tryMark(a auth.Authenticator, signer types.NodeID, m bodyMarshaler, sig []b
 // owner-change sender signatures, and POM evidence signatures — is checked
 // on the verifier-pool workers and the message marked, so the
 // single-threaded process loop re-checks nothing but semantic bindings.
-// Signatures the loop verifies only conditionally (a RESENDREQ's embedded
-// request, certificate-embedded SPECORDERs, OWNERCHANGE history proofs,
-// NEWOWNER proof elements) are verified opportunistically: valid ones are
-// marked, invalid ones pass through unmarked for the loop to judge, so
-// pool-on and pool-off behaviour stay equivalent. The predicate is safe
-// for concurrent use — feed it to transport.NewVerifyPool.
+// A few signatures the loop verifies only conditionally (a RESENDREQ's
+// embedded request, NEWOWNER and CATCHUPRESP proof elements) are verified
+// opportunistically: valid ones are marked, invalid ones pass through
+// unmarked for the loop to judge. Certificate-embedded SPECORDERs are left
+// to the loop: it checks one's owner signature only when it installs the
+// instance from the certificate, which a replica holding the instance never
+// does. Either way pool-on and pool-off behaviour stay equivalent. The
+// predicate is safe for concurrent use — feed it to transport.NewVerifyPool.
 func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 	return func(msg codec.Message) bool {
 		switch m := msg.(type) {
@@ -84,12 +86,12 @@ func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 		case *SpecReply:
 			return preVerify(a, types.ReplicaNode(m.Replica), m, m.Sig, m)
 		case *CommitFast:
-			return preVerifyCert(a, n, m.Cert)
+			return preVerifyCert(a, m.Cert)
 		case *Commit:
 			if !preVerify(a, types.ClientNode(m.Client), m, m.Sig, m) {
 				return false
 			}
-			return preVerifyCert(a, n, m.Cert)
+			return preVerifyCert(a, m.Cert)
 		case *CommitReply:
 			return preVerify(a, types.ReplicaNode(m.Replica), m, m.Sig, m)
 		case *ResendReq:
@@ -135,21 +137,13 @@ func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 	}
 }
 
-// SpecOrderVerifier is the PR-2 predicate restricted to SPECORDER frames;
-// it survives for callers that only want ordering-frame coverage.
-// InboundVerifier supersedes it for full-coverage deployments.
-func SpecOrderVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
-	return func(msg codec.Message) bool {
-		so, ok := msg.(*SpecOrder)
-		if !ok {
-			return true
-		}
-		return preVerifySpecOrder(a, n, so)
-	}
-}
-
 // preVerifySpecOrder checks a SPECORDER's leader signature and every
-// embedded client signature, marking the frame on success.
+// embedded client signature, marking the frame on success. That is the
+// mark's whole meaning — the leader signature AND every client signature
+// verified — so nothing may mark a SPECORDER on its leader signature alone:
+// on the in-process mesh one *SpecOrder value is shared, and a leader-only
+// mark set elsewhere would let it later pass as an ordering frame without
+// its client signatures checked.
 func preVerifySpecOrder(a auth.Authenticator, n int, so *SpecOrder) bool {
 	if so.BatchSize() > MaxBatchSize {
 		return false
@@ -172,46 +166,16 @@ func preVerifySpecOrder(a auth.Authenticator, n int, so *SpecOrder) bool {
 }
 
 // preVerifyCert checks every SPECREPLY signature of a commit certificate —
-// the 2f+1 serial ECDSA verifications validateCert would otherwise run on
-// the process loop — marking each element, and opportunistically marks the
-// certificate's embedded SPECORDER (its signature is only checked in-loop
-// when the certificate has to install the instance).
-func preVerifyCert(a auth.Authenticator, n int, cert []*SpecReply) bool {
+// the serial verifications validateCert would otherwise run on the process
+// loop — marking each element. Embedded SPECORDERs are left to the loop
+// (see InboundVerifier).
+func preVerifyCert(a auth.Authenticator, cert []*SpecReply) bool {
 	for _, sr := range cert {
 		if !preVerify(a, types.ReplicaNode(sr.Replica), sr, sr.Sig, sr) {
 			return false
 		}
-		if so := sr.SO; so != nil {
-			tryMarkSpecOrder(a, n, so)
-		}
 	}
 	return true
-}
-
-// tryMarkSpecOrder opportunistically marks a SPECORDER reached outside its
-// own frame (inside a certificate): the mark asserts that the leader
-// signature AND every embedded client signature verified — the exact
-// meaning preVerifySpecOrder and handleSpecOrder give the flag — so all
-// signatures must check out before marking. (On the in-process mesh the
-// same *SpecOrder value can later arrive as an ordering frame; a weaker
-// leader-only mark here would let it skip client-signature verification.)
-// Never drops: an unmarkable SPECORDER is left for the loop's conditional
-// checks.
-func tryMarkSpecOrder(a auth.Authenticator, n int, so *SpecOrder) {
-	if so.SigVerified() || so.BatchSize() > MaxBatchSize {
-		return
-	}
-	owner := so.Owner.OwnerOf(n)
-	if verifyBody(a, types.ReplicaNode(owner), so, so.Sig) != nil {
-		return
-	}
-	for i := 0; i < so.BatchSize(); i++ {
-		req := so.ReqAt(i)
-		if verifyBody(a, types.ClientNode(req.Cmd.Client), req, req.Sig) != nil {
-			return
-		}
-	}
-	so.MarkSigVerified()
 }
 
 // preVerifyPOM checks both accused-owner signatures of a proof of

@@ -45,10 +45,11 @@ type fakeMsg struct{ id uint64 }
 func (m *fakeMsg) Tag() uint8                { return 251 }
 func (m *fakeMsg) MarshalTo(w *codec.Writer) { w.Uvarint(m.id) }
 
-// TestVerifyPoolWithSpecOrderVerifier runs real signed SPECORDER batches
-// through the parallel verifier: correctly signed batches pass, tampered
-// ones are dropped, and unrelated messages pass through untouched.
-func TestVerifyPoolWithSpecOrderVerifier(t *testing.T) {
+// TestVerifyPoolWithInboundVerifier runs real signed SPECORDER batches
+// through the parallel verifier with the ezBFT predicate: correctly signed
+// batches pass, tampered ones are dropped, and unrelated messages pass
+// through untouched.
+func TestVerifyPoolWithInboundVerifier(t *testing.T) {
 	const n = 4
 	ring := auth.NewHMACKeyring([]byte("verify-pool-test"))
 	leader := ring.ForNode(types.ReplicaNode(1))
@@ -78,7 +79,7 @@ func TestVerifyPoolWithSpecOrderVerifier(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []codec.Message
-	pool := NewVerifyPool(2, core.SpecOrderVerifier(verifier, n),
+	pool := NewVerifyPool(2, core.InboundVerifier(verifier, n),
 		func(from types.NodeID, msg codec.Message) {
 			mu.Lock()
 			got = append(got, msg)

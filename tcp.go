@@ -179,7 +179,11 @@ func StartTCPReplica(cfg TCPReplicaConfig) (*TCPReplica, error) {
 	// Every signed inbound message — ordering frames, requests, commit
 	// certificates, owner-change traffic — has its signatures verified on a
 	// worker pool in parallel before entering the single-threaded process
-	// loop.
+	// loop. At n=4 and batch 1 an ezBFT fast-path command costs 27
+	// verifications across the cluster: REQUEST 1 at the leader, SPECORDER
+	// 3×2 (owner + client), 4 SPECREPLYs at the client, COMMITFAST 4×4. A
+	// certificate's embedded SPECORDERs are verified only by a replica that
+	// installs the instance from one.
 	pool := transport.NewVerifyPool(cfg.VerifyWorkers, eng.InboundVerifier(a, cfg.N),
 		func(from types.NodeID, msg codec.Message) { node.Deliver(from, msg) })
 	peer, err := transport.NewTCPPeer(types.ReplicaNode(cfg.ID), cfg.Listen, addrs, pool.Submit)
